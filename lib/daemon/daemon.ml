@@ -276,14 +276,14 @@ let submit_entries t entries =
                 else acc)
               0 resolved
           in
+          let elapsed_ms = (Unix.gettimeofday () -. wall0) *. 1000. in
           Mutex.lock t.m;
           Obs.Metrics.incr ~by:hits t.c_hits;
           Obs.Metrics.incr ~by:fresh t.c_fresh;
           Obs.Metrics.incr ~by:shared t.c_shared;
-          Mutex.unlock t.m;
           if fresh = 0 && shared = 0 then
-            Obs.Metrics.observe t.warm_hit_ms
-              ((Unix.gettimeofday () -. wall0) *. 1000.);
+            Obs.Metrics.observe t.warm_hit_ms elapsed_ms;
+          Mutex.unlock t.m;
           let outcomes =
             List.map
               (fun ((e : Serve.Batch.entry), hash, r, kind) ->

@@ -3,7 +3,10 @@
    A class aggregates [flows] identical single-path flows: one window
    state evolved by the controller's single-flow law
    (Controller.dwindows_single), or a constant per-flow rate for
-   CBR-style classes.  Classes share directional link *channels*; each
+   CBR-style classes.  Constant classes have no state: their load is
+   folded into one per-channel sum whenever the active set changes, so
+   an ODE step costs windowed classes + channels whatever the number of
+   CBR classes.  Classes share directional link *channels*; each
    channel carries one queue state with the same quadratic loss ramp
    and Lipschitz boundary layers as Model, so the class fields and the
    connection model describe queues identically.  The channel's packet
@@ -25,29 +28,37 @@ type class_spec = {
 
 type channel_spec = { cap_pps : float; limit_pkts : int }
 
+(* State vector: [windows (one per windowed class); queues (one per
+   channel); CUBIC auxiliary pairs].  Slot [s < nw] is the window of
+   class [win.(s)]; queues start at [nw]. *)
 type t = {
   config : Model.config;  (* buffer_pkts unused: channels carry their own *)
   tol : float;
   classes : class_spec array;
   c : int;
   l : int;
+  nw : int;
+  win : int array;        (* slot -> windowed class *)
+  slot : int array;       (* class -> slot, or -1 for a constant class *)
   extra_off : int;
   dim : int;
-  reno_idx : int array;   (* Windowed Reno/Lia/Olia classes *)
-  cubic_idx : int array;
-  cubic_pos : int array;  (* class -> position in cubic_idx, or -1 *)
+  reno_idx : int array;   (* slots of Reno/Lia/Olia classes *)
+  cubic_idx : int array;  (* slots of CUBIC classes *)
+  cubic_pos : int array;  (* slot -> position in cubic_idx, or -1 *)
   cap_pps : float array;
   qmax : float array;
   q0 : float array;
   y : float array;
+  work : Ode.workspace;
   mutable time_s : float;
   mutable last_dt : float;
-  mutable n_inactive : int;
-  active : bool array;
+  active : bool array;    (* per class, as of the last fold *)
+  const_load : float array;  (* active constant classes' pps per channel *)
+  mutable folded : int;   (* [start_ptr] at the last fold, -1 before any *)
   starts : float array;   (* distinct future activation times, ascending *)
   mutable start_ptr : int;
   fg_pps : float array;   (* exogenous foreground arrival per channel *)
-  (* scratch reused by [deriv]; a [t] is single-domain *)
+  (* scratch reused by [deriv], per slot; a [t] is single-domain *)
   rtt : float array;
   loss : float array;
   rate : float array;     (* per-flow pps *)
@@ -68,95 +79,8 @@ type t = {
   mutable calm : int;
   mutable dormant : bool;
   mutable dormant_skips : int;
+  ode : Ode.problem;  (* closes over this record; built once *)
 }
-
-let compile ~(channels : channel_spec array) ~classes
-    ?(config = Model.default_config) ?(tol = 1e-4) () =
-  let c = Array.length classes and l = Array.length channels in
-  if c = 0 then invalid_arg "Background.compile: no classes";
-  Array.iter
-    (fun cl ->
-      if cl.flows < 1 then invalid_arg "Background.compile: class without flows";
-      if Array.length cl.chans = 0 then
-        invalid_arg "Background.compile: class crosses no channel";
-      Array.iter
-        (fun ch ->
-          if ch < 0 || ch >= l then
-            invalid_arg "Background.compile: channel index out of range")
-        cl.chans;
-      match cl.law with
-      | Constant ->
-        if cl.flow_rate_pps <= 0.0 then
-          invalid_arg "Background.compile: constant class needs a rate"
-      | Windowed _ -> ())
-    classes;
-  let reno = ref [] and cubic = ref [] in
-  for i = c - 1 downto 0 do
-    match classes.(i).law with
-    | Windowed Controller.Cubic -> cubic := i :: !cubic
-    | Windowed (Controller.Reno | Controller.Lia | Controller.Olia) ->
-      reno := i :: !reno
-    | Constant -> ()
-  done;
-  let cubic_idx = Array.of_list !cubic in
-  let cubic_pos = Array.make c (-1) in
-  Array.iteri (fun j i -> cubic_pos.(i) <- j) cubic_idx;
-  let extra_off = c + l in
-  let dim = extra_off + (2 * Array.length cubic_idx) in
-  let qmax =
-    Array.map (fun ch -> float_of_int (max 1 ch.limit_pkts)) channels
-  in
-  let starts =
-    let tbl = Hashtbl.create 16 in
-    Array.iter
-      (fun cl -> if cl.start_s > 1e-12 then Hashtbl.replace tbl cl.start_s ())
-      classes;
-    let a = Array.of_seq (Hashtbl.to_seq_keys tbl) in
-    Array.sort Float.compare a;
-    a
-  in
-  let t =
-    { config;
-      tol;
-      classes;
-      c;
-      l;
-      extra_off;
-      dim;
-      reno_idx = Array.of_list !reno;
-      cubic_idx;
-      cubic_pos;
-      cap_pps = Array.map (fun (ch : channel_spec) -> ch.cap_pps) channels;
-      qmax;
-      q0 = Array.map (fun q -> config.Model.loss_start *. q) qmax;
-      y = Array.make dim 0.0;
-      time_s = 0.0;
-      last_dt = 1e-4;
-      n_inactive = 0;
-      active = Array.make c true;
-      starts;
-      start_ptr = 0;
-      fg_pps = Array.make l 0.0;
-      rtt = Array.make c 0.0;
-      loss = Array.make c 0.0;
-      rate = Array.make c 0.0;
-      chan_loss = Array.make l 0.0;
-      chan_qdelay = Array.make l 0.0;
-      arrival = Array.make l 0.0;
-      qss_s = Array.make l 0.0;
-      qss_qeq = Array.make l 0.0;
-      occupancy = Array.make l 0.0;
-      departure = Array.make l 0.0;
-      steps = 0;
-      rejected = 0;
-      y_prev = Array.make dim 0.0;
-      sleep_fg = Array.make l 0.0;
-      calm = 0;
-      dormant = false;
-      dormant_skips = 0 }
-  in
-  for i = 0 to c - 1 do t.y.(i) <- config.Model.min_cwnd done;
-  t
 
 let n_classes t = t.c
 let n_channels t = t.l
@@ -213,7 +137,7 @@ let set_capacity t ~chan ~cap_pps =
    states may sit slightly outside the box, so reads are clamped). *)
 let refresh t y =
   for ch = 0 to t.l - 1 do
-    let q = Float.min t.qmax.(ch) (Float.max 0.0 y.(t.c + ch)) in
+    let q = Float.min t.qmax.(ch) (Float.max 0.0 y.(t.nw + ch)) in
     let cap = t.cap_pps.(ch) in
     let r = t.arrival.(ch) /. cap in
     let s =
@@ -241,8 +165,9 @@ let refresh t y =
       t.chan_qdelay.(ch) <- (((1.0 -. s) *. q) +. (s *. q_eq)) /. cap
     end
   done;
-  Array.fill t.arrival 0 t.l 0.0;
-  for i = 0 to t.c - 1 do
+  Array.blit t.const_load 0 t.arrival 0 t.l;
+  for s = 0 to t.nw - 1 do
+    let i = Array.unsafe_get t.win s in
     let cl = Array.unsafe_get t.classes i in
     let chans = cl.chans in
     let rtt = ref cl.base_rtt_s and surv = ref 1.0 in
@@ -251,17 +176,13 @@ let refresh t y =
       rtt := !rtt +. Array.unsafe_get t.chan_qdelay ch;
       surv := !surv *. (1.0 -. Array.unsafe_get t.chan_loss ch)
     done;
-    t.rtt.(i) <- !rtt;
-    t.loss.(i) <- 1.0 -. !surv;
+    t.rtt.(s) <- !rtt;
+    t.loss.(s) <- 1.0 -. !surv;
     let x =
       if not (Array.unsafe_get t.active i) then 0.0
-      else
-        match cl.law with
-        | Constant -> cl.flow_rate_pps
-        | Windowed _ ->
-          Float.max t.config.Model.min_cwnd (Array.unsafe_get y i) /. !rtt
+      else Float.max t.config.Model.min_cwnd (Array.unsafe_get y s) /. !rtt
     in
-    t.rate.(i) <- x;
+    t.rate.(s) <- x;
     if x > 0.0 then begin
       let agg = x *. float_of_int cl.flows in
       for j = 0 to Array.length chans - 1 do
@@ -280,7 +201,7 @@ let deriv t y dy =
      Lipschitz boundary layers at both box edges. *)
   let tau = Model.boundary_tau in
   for ch = 0 to t.l - 1 do
-    let q = Float.max 0.0 y.(t.c + ch) in
+    let q = Float.max 0.0 y.(t.nw + ch) in
     let d =
       (t.arrival.(ch) *. (1.0 -. t.chan_loss.(ch))) -. t.cap_pps.(ch)
     in
@@ -291,10 +212,10 @@ let deriv t y dy =
       if s = 0.0 then d
       else ((1.0 -. s) *. d) +. (s *. ((t.qss_qeq.(ch) -. q) /. qss_tau))
     in
-    dy.(t.c + ch) <- d
+    dy.(t.nw + ch) <- d
   done;
-  (* Windows, batched per law family; constant-rate classes hold. *)
-  Array.fill dy 0 t.c 0.0;
+  (* Windows, batched per law family. *)
+  Array.fill dy 0 t.nw 0.0;
   if Array.length t.reno_idx > 0 then
     Controller.dwindows_single Controller.Reno ~idx:t.reno_idx ~w:y ~rtt:t.rtt
       ~rate:t.rate ~loss:t.loss ~extras:y ~extras_off:t.extra_off ~dextras:dy
@@ -306,29 +227,25 @@ let deriv t y dy =
   (* Window floor boundary layer, and a frozen field for classes that
      have not started yet (their rate is zero, but CUBIC's epoch age
      would still tick). *)
-  for i = 0 to t.c - 1 do
-    if not t.active.(i) then begin
-      dy.(i) <- 0.0;
-      let j = t.cubic_pos.(i) in
+  for s = 0 to t.nw - 1 do
+    if not t.active.(t.win.(s)) then begin
+      dy.(s) <- 0.0;
+      let j = t.cubic_pos.(s) in
       if j >= 0 then begin
         dy.(t.extra_off + (2 * j)) <- 0.0;
         dy.(t.extra_off + (2 * j) + 1) <- 0.0
       end
     end
-    else
-      match t.classes.(i).law with
-      | Constant -> ()
-      | Windowed _ ->
-        let slack =
-          (y.(i) -. t.config.Model.min_cwnd) /. Model.boundary_tau
-        in
-        dy.(i) <- Float.max dy.(i) (-.Float.max 0.0 slack)
+    else begin
+      let slack = (y.(s) -. t.config.Model.min_cwnd) /. Model.boundary_tau in
+      dy.(s) <- Float.max dy.(s) (-.Float.max 0.0 slack)
+    end
   done
 
 let project t y =
   let floor = t.config.Model.min_cwnd in
-  for i = 0 to t.c - 1 do
-    if y.(i) < floor then y.(i) <- floor
+  for s = 0 to t.nw - 1 do
+    if y.(s) < floor then y.(s) <- floor
   done;
   for ch = 0 to t.l - 1 do
     (* Fully slaved channels snap straight to the ramp equilibrium: a
@@ -336,30 +253,159 @@ let project t y =
        arrival), far inside one step, so the snap is more accurate than
        relaxing toward it — and it kills the settle tail that would
        otherwise keep the field integrating for tens of ticks. *)
-    if t.qss_s.(ch) = 1.0 then y.(t.c + ch) <- t.qss_qeq.(ch)
+    if t.qss_s.(ch) = 1.0 then y.(t.nw + ch) <- t.qss_qeq.(ch)
     else begin
-      let q = y.(t.c + ch) in
-      if q < 0.0 then y.(t.c + ch) <- 0.0
-      else if q > t.qmax.(ch) then y.(t.c + ch) <- t.qmax.(ch)
+      let q = y.(t.nw + ch) in
+      if q < 0.0 then y.(t.nw + ch) <- 0.0
+      else if q > t.qmax.(ch) then y.(t.nw + ch) <- t.qmax.(ch)
     end
   done;
   for j = t.extra_off to t.dim - 1 do
     if y.(j) < 0.0 then y.(j) <- 0.0
   done
 
-let problem t =
-  { Ode.dim = t.dim; f = (fun y dy -> deriv t y dy); project = project t }
+let compile ~(channels : channel_spec array) ~classes
+    ?(config = Model.default_config) ?(tol = 1e-4) () =
+  let c = Array.length classes and l = Array.length channels in
+  if c = 0 then invalid_arg "Background.compile: no classes";
+  Array.iter
+    (fun cl ->
+      if cl.flows < 1 then
+        invalid_arg "Background.compile: class without flows";
+      if Array.length cl.chans = 0 then
+        invalid_arg "Background.compile: class crosses no channel";
+      Array.iter
+        (fun ch ->
+          if ch < 0 || ch >= l then
+            invalid_arg "Background.compile: channel index out of range")
+        cl.chans;
+      match cl.law with
+      | Constant ->
+        if cl.flow_rate_pps <= 0.0 then
+          invalid_arg "Background.compile: constant class needs a rate"
+      | Windowed _ -> ())
+    classes;
+  let slot = Array.make c (-1) and nw = ref 0 in
+  Array.iteri
+    (fun i cl ->
+      if cl.law <> Constant then begin
+        slot.(i) <- !nw;
+        incr nw
+      end)
+    classes;
+  let nw = !nw in
+  let win = Array.make nw 0 in
+  Array.iteri (fun i s -> if s >= 0 then win.(s) <- i) slot;
+  let reno = ref [] and cubic = ref [] in
+  for s = nw - 1 downto 0 do
+    match classes.(win.(s)).law with
+    | Windowed Controller.Cubic -> cubic := s :: !cubic
+    | Windowed (Controller.Reno | Controller.Lia | Controller.Olia) ->
+      reno := s :: !reno
+    | Constant -> ()
+  done;
+  let cubic_idx = Array.of_list !cubic in
+  let cubic_pos = Array.make nw (-1) in
+  Array.iteri (fun j s -> cubic_pos.(s) <- j) cubic_idx;
+  let extra_off = nw + l in
+  let dim = extra_off + (2 * Array.length cubic_idx) in
+  let qmax =
+    Array.map (fun ch -> float_of_int (max 1 ch.limit_pkts)) channels
+  in
+  let starts =
+    let tbl = Hashtbl.create 16 in
+    Array.iter
+      (fun cl -> if cl.start_s > 1e-12 then Hashtbl.replace tbl cl.start_s ())
+      classes;
+    let a = Array.of_seq (Hashtbl.to_seq_keys tbl) in
+    Array.sort Float.compare a;
+    a
+  in
+  let rec t =
+    { config;
+      tol;
+      classes;
+      c;
+      l;
+      nw;
+      win;
+      slot;
+      extra_off;
+      dim;
+      reno_idx = Array.of_list !reno;
+      cubic_idx;
+      cubic_pos;
+      cap_pps = Array.map (fun (ch : channel_spec) -> ch.cap_pps) channels;
+      qmax;
+      q0 = Array.map (fun q -> config.Model.loss_start *. q) qmax;
+      y = Array.make dim 0.0;
+      work = Ode.workspace dim;
+      time_s = 0.0;
+      last_dt = 1e-4;
+      active = Array.make c false;
+      const_load = Array.make l 0.0;
+      folded = -1;
+      starts;
+      start_ptr = 0;
+      fg_pps = Array.make l 0.0;
+      rtt = Array.make nw 0.0;
+      loss = Array.make nw 0.0;
+      rate = Array.make nw 0.0;
+      chan_loss = Array.make l 0.0;
+      chan_qdelay = Array.make l 0.0;
+      arrival = Array.make l 0.0;
+      qss_s = Array.make l 0.0;
+      qss_qeq = Array.make l 0.0;
+      occupancy = Array.make l 0.0;
+      departure = Array.make l 0.0;
+      steps = 0;
+      rejected = 0;
+      y_prev = Array.make dim 0.0;
+      sleep_fg = Array.make l 0.0;
+      calm = 0;
+      dormant = false;
+      dormant_skips = 0;
+      ode =
+        { Ode.dim;
+          f = (fun y dy -> deriv t y dy);
+          project = (fun y -> project t y) } }
+  in
+  Array.fill t.y 0 nw config.Model.min_cwnd;
+  t
+
+let problem t = t.ode
 
 (* Final-state outputs: channel occupancy and the background's
    bandwidth share (its admitted arrivals, capped at capacity). *)
 let refresh_outputs t =
   refresh t t.y;
   for ch = 0 to t.l - 1 do
-    t.occupancy.(ch) <- Float.min t.qmax.(ch) (Float.max 0.0 t.y.(t.c + ch));
+    t.occupancy.(ch) <- Float.min t.qmax.(ch) (Float.max 0.0 t.y.(t.nw + ch));
     let bg_arr = Float.max 0.0 (t.arrival.(ch) -. t.fg_pps.(ch)) in
     t.departure.(ch) <-
       Float.min (bg_arr *. (1.0 -. t.chan_loss.(ch))) t.cap_pps.(ch)
   done
+
+(* Recompute the active set and the constant classes' per-channel load,
+   summed in class order from 0.0: for a pure-CBR field that is the
+   per-class accumulation of arrivals, bit for bit.  Called when
+   [start_ptr] has moved since the last fold — not on the [activating]
+   step, whose classes start only on the step after it. *)
+let fold t =
+  Array.fill t.const_load 0 t.l 0.0;
+  for i = 0 to t.c - 1 do
+    let cl = t.classes.(i) in
+    let a = cl.start_s <= t.time_s +. 1e-12 in
+    t.active.(i) <- a;
+    if a && t.slot.(i) < 0 then begin
+      let agg = cl.flow_rate_pps *. float_of_int cl.flows in
+      for j = 0 to Array.length cl.chans - 1 do
+        let ch = cl.chans.(j) in
+        t.const_load.(ch) <- t.const_load.(ch) +. agg
+      done
+    end
+  done;
+  t.folded <- t.start_ptr
 
 let advance t ~dt_s =
   if dt_s <= 0.0 then invalid_arg "Background.advance: non-positive step";
@@ -376,16 +422,11 @@ let advance t ~dt_s =
   end
   else begin
     if activating then wake t;
-    t.n_inactive <- 0;
-    for i = 0 to t.c - 1 do
-      let a = t.classes.(i).start_s <= t.time_s +. 1e-12 in
-      t.active.(i) <- a;
-      if not a then t.n_inactive <- t.n_inactive + 1
-    done;
+    if t.folded <> t.start_ptr then fold t;
     Array.blit t.y 0 t.y_prev 0 t.dim;
     let stats =
-      Ode.integrate (problem t) ~y:t.y ~t0:t.time_s ~t1:(t.time_s +. dt_s)
-        ~dt0:t.last_dt ~tol:t.tol ~dt_max:dt_s ()
+      Ode.integrate t.ode ~work:t.work ~y:t.y ~t0:t.time_s
+        ~t1:(t.time_s +. dt_s) ~dt0:t.last_dt ~tol:t.tol ~dt_max:dt_s ()
     in
     t.time_s <- t.time_s +. dt_s;
     t.last_dt <- stats.Ode.last_dt;
@@ -425,13 +466,37 @@ let advance t ~dt_s =
 let occupancy_pkts t ~chan = t.occupancy.(chan)
 let departure_pps t ~chan = t.departure.(chan)
 let loss_prob t ~chan = t.chan_loss.(chan)
-let windows t = Array.sub t.y 0 t.c
-let queues_pkts t = Array.sub t.y t.c t.l
+
+let windows t =
+  let w = Array.make t.c t.config.Model.min_cwnd in
+  Array.iteri (fun s i -> w.(i) <- t.y.(s)) t.win;
+  w
+
+let queues_pkts t = Array.sub t.y t.nw t.l
+
+(* Per-flow rate and path loss of class [i] as of the last refresh;
+   a constant class's loss is recomputed from its channels. *)
+let class_rate t i =
+  let s = t.slot.(i) in
+  if s >= 0 then t.rate.(s)
+  else if t.active.(i) then t.classes.(i).flow_rate_pps
+  else 0.0
+
+let class_loss t i =
+  let s = t.slot.(i) in
+  if s >= 0 then t.loss.(s)
+  else begin
+    let chans = t.classes.(i).chans and surv = ref 1.0 in
+    for j = 0 to Array.length chans - 1 do
+      surv := !surv *. (1.0 -. t.chan_loss.(chans.(j)))
+    done;
+    1.0 -. !surv
+  end
 
 let offered_pps t =
   let acc = ref 0.0 in
   for i = 0 to t.c - 1 do
-    acc := !acc +. (t.rate.(i) *. float_of_int t.classes.(i).flows)
+    acc := !acc +. (class_rate t i *. float_of_int t.classes.(i).flows)
   done;
   !acc
 
@@ -440,7 +505,8 @@ let goodput_pps t =
   for i = 0 to t.c - 1 do
     acc :=
       !acc
-      +. (t.rate.(i) *. (1.0 -. t.loss.(i)) *. float_of_int t.classes.(i).flows)
+      +. (class_rate t i *. (1.0 -. class_loss t i)
+         *. float_of_int t.classes.(i).flows)
   done;
   !acc
 

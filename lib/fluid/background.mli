@@ -6,23 +6,26 @@
     sharing directional link {e channels}.  Per class one window state
     evolves by the controller's single-flow law
     ({!Controller.dwindows_single} — LIA and OLIA degenerate to Reno
-    exactly for one path, CUBIC keeps its two auxiliary states), or
-    holds a constant per-flow rate for CBR-style classes.  Per channel
-    one queue state integrates admitted aggregate arrivals minus the
-    drain rate, with the same quadratic loss ramp ({!Model.ramp_loss})
-    and Lipschitz boundary layers ({!Model.boundary_tau}) as the
-    connection model, so the class fields and the foreground fluid model
-    describe queues identically.
+    exactly for one path, CUBIC keeps its two auxiliary states).
+    CBR-style classes hold a constant per-flow rate and carry no state:
+    their load is folded into one constant arrival per channel whenever
+    the set of active classes changes.  Per channel one queue state
+    integrates admitted aggregate arrivals minus the drain rate, with
+    the same quadratic loss ramp ({!Model.ramp_loss}) and Lipschitz
+    boundary layers ({!Model.boundary_tau}) as the connection model, so
+    the class fields and the foreground fluid model describe queues
+    identically.
 
     The coupling to the packet simulation is two-sided and runs on a
     coarse tick ({!Driver}): the field sees the foreground's measured
     arrival rate as exogenous load on its channels, and the packet-level
     {!Netsim.Linkq} sees the field's queue occupancy and bandwidth share
     ({!Netsim.Linkq.set_background}) in its service rate and drop
-    decisions.  Cost per ODE step is linear in classes + channels, so a
-    million background flows (say 10^5 classes of 10) advance in
-    microseconds per tick while four foreground connections keep full
-    packet fidelity — the hybrid scaling argument of Peng et al.
+    decisions.  Cost per ODE step is linear in windowed classes +
+    channels; constant classes cost O(classes) once per activation, not
+    per step.  So a million background flows (say 10^5 classes of 10)
+    advance in microseconds per tick while four foreground connections
+    keep full packet fidelity — the hybrid scaling argument of Peng et al.
     (arXiv:1308.3119) realised on this repository's simulator. *)
 
 (** How a class's per-flow sending rate is determined. *)
@@ -53,19 +56,26 @@ type t
 val compile :
   channels:channel_spec array -> classes:class_spec array
   -> ?config:Model.config -> ?tol:float -> unit -> t
-(** Builds the field: state vector [windows (one per class); queues
-    (one per channel); CUBIC auxiliary pairs (per CUBIC class)], windows
-    at the floor, queues empty.  [config] supplies the loss-ramp knee,
-    window floor and MSS exactly as for {!Model.compile}; [tol] (default
-    [1e-4]) is the step-doubling error bound passed to {!Ode.integrate}
-    — coarser than the foreground default because class fields are
-    aggregates.  Raises [Invalid_argument] on empty or inconsistent
-    specs (no classes, a class with no flows or channels, a channel
-    index out of range, a [Constant] class without a positive rate). *)
+(** Builds the field: state vector [windows (one per windowed class, in
+    class order); queues (one per channel); CUBIC auxiliary pairs (per
+    CUBIC class)], windows at the floor, queues empty.  [Constant]
+    classes have no slot, so a pure-CBR field has [dim = n_channels].
+    [config] supplies the loss-ramp knee, window floor and MSS exactly
+    as for {!Model.compile}; [tol] (default [1e-4]) is the
+    step-doubling error bound passed to {!Ode.integrate} — coarser than
+    the foreground default because class fields are aggregates.
+    Raises [Invalid_argument] on empty or inconsistent specs (no
+    classes, a class with no flows or channels, a channel index out of
+    range, a [Constant] class without a positive rate). *)
 
 val n_classes : t -> int
+(** Every class, constant ones included. *)
+
 val n_channels : t -> int
+
 val dim : t -> int
+(** ODE state size: windowed classes + channels + 2 per CUBIC class. *)
+
 val time_s : t -> float
 
 val set_foreground : t -> chan:int -> pps:float -> unit
@@ -77,8 +87,9 @@ val set_capacity : t -> chan:int -> cap_pps:float -> unit
     Raises [Invalid_argument] on a non-positive rate. *)
 
 val problem : t -> Ode.problem
-(** The vector field plus box projection.  The closures reuse per-field
-    scratch, so a [t] must not be shared across domains. *)
+(** The vector field plus box projection, over the classes active at
+    the last {!advance} (none before the first).  The closures reuse
+    per-field scratch, so a [t] must not be shared across domains. *)
 
 val advance : t -> dt_s:float -> Ode.stats
 (** Integrate the field forward by [dt_s] seconds (one coarse tick) and
@@ -121,7 +132,8 @@ val loss_prob : t -> chan:int -> float
 (** The channel's current ramp loss probability. *)
 
 val windows : t -> float array
-(** Per-class window snapshot (fresh array, class order). *)
+(** Per-class window snapshot (fresh array, class order); [Constant]
+    classes report the window floor ([min_cwnd]). *)
 
 val queues_pkts : t -> float array
 (** Per-channel queue snapshot (fresh array, channel order). *)

@@ -6,6 +6,22 @@ type problem = {
 
 type stats = { steps : int; rejected : int; last_dt : float }
 
+type workspace = {
+  k1 : float array;
+  k2 : float array;
+  k3 : float array;
+  k4 : float array;
+  tmp : float array;
+  tmp2 : float array;
+  full : float array;
+  half : float array;
+}
+
+let workspace n =
+  let a () = Array.make n 0.0 in
+  { k1 = a (); k2 = a (); k3 = a (); k4 = a (); tmp = a (); tmp2 = a ();
+    full = a (); half = a () }
+
 let merge_stats a b =
   { steps = a.steps + b.steps;
     rejected = a.rejected + b.rejected;
@@ -28,22 +44,20 @@ let rk4_step p ~dt ~y ~out ~k1 ~k2 ~k3 ~k4 ~tmp =
       y.(i) +. (c *. (k1.(i) +. (2.0 *. k2.(i)) +. (2.0 *. k3.(i)) +. k4.(i)))
   done
 
-let integrate p ~y ~t0 ~t1 ?(dt0 = 1e-4) ?(tol = 1e-6) ?(dt_min = 1e-7)
+let integrate p ?work ~y ~t0 ~t1 ?(dt0 = 1e-4) ?(tol = 1e-6) ?(dt_min = 1e-7)
     ?dt_max () =
   if Array.length y <> p.dim then
     invalid_arg "Ode.integrate: state has the wrong dimension";
+  let w = match work with Some w -> w | None -> workspace p.dim in
+  if Array.length w.k1 <> p.dim then
+    invalid_arg "Ode.integrate: workspace has the wrong dimension";
   if t1 < t0 then invalid_arg "Ode.integrate: t1 < t0";
   let horizon = t1 -. t0 in
   let dt_max =
     match dt_max with Some d -> d | None -> Float.max dt_min (horizon /. 4.0)
   in
   let n = p.dim in
-  let k1 = Array.make n 0.0 and k2 = Array.make n 0.0 in
-  let k3 = Array.make n 0.0 and k4 = Array.make n 0.0 in
-  let tmp = Array.make n 0.0 in
-  let tmp2 = Array.make n 0.0 in
-  let full = Array.make n 0.0 in
-  let half = Array.make n 0.0 in
+  let { k1; k2; k3; k4; tmp; tmp2; full; half } = w in
   let steps = ref 0 and rejected = ref 0 in
   let t = ref t0 in
   let dt = ref (Float.min (Float.max dt0 dt_min) dt_max) in

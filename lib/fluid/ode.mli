@@ -30,17 +30,27 @@ type stats = {
   last_dt : float;  (** step size in use when integration finished *)
 }
 
+type workspace
+(** The integrator's stage scratch for one state size. *)
+
+val workspace : int -> workspace
+(** Fresh scratch for states of the given size. *)
+
 val integrate :
-  problem -> y:float array -> t0:float -> t1:float -> ?dt0:float
-  -> ?tol:float -> ?dt_min:float -> ?dt_max:float -> unit -> stats
-(** Advance [y] in place from [t0] to [t1].  [tol] (default [1e-6]) is
+  problem -> ?work:workspace -> y:float array -> t0:float -> t1:float
+  -> ?dt0:float -> ?tol:float -> ?dt_min:float -> ?dt_max:float -> unit
+  -> stats
+(** Advance [y] in place from [t0] to [t1].  [work] (default: fresh
+    scratch) lets a caller that integrates window by window allocate
+    the scratch once; it is overwritten, and must not be shared by two
+    integrations at once.  [tol] (default [1e-6]) is
     the per-step componentwise error bound relative to
     [max 1.0 (abs y.(i))]; [dt0] (default [1e-4] s) seeds the adaptive
     step, clamped to [[dt_min, dt_max]] (defaults [1e-7] and a quarter
     of the horizon).  The projection runs after every accepted step, so
     trajectories never leave the feasible box by more than one step's
     worth of drift.  Raises [Invalid_argument] when [t1 < t0] or [y]
-    has the wrong length. *)
+    or [work] has the wrong length. *)
 
 val merge_stats : stats -> stats -> stats
 (** Accumulate the counters of two consecutive integrations (keeps the

@@ -22,13 +22,14 @@ let run m ?y0 ~horizon ~samples ?(tol = 1e-6) () =
     match y0 with Some y -> Array.copy y | None -> Model.initial m
   in
   p.Ode.project y;
+  let work = Ode.workspace p.Ode.dim in
   let dt = horizon /. float_of_int samples in
   let acc = ref { Ode.steps = 0; rejected = 0; last_dt = 0.0 } in
   let out = ref [ sample_of m ~t:0.0 y ] in
   for k = 1 to samples do
     let t0 = dt *. float_of_int (k - 1) in
     let t1 = dt *. float_of_int k in
-    let stats = Ode.integrate p ~y ~t0 ~t1 ~tol () in
+    let stats = Ode.integrate p ~work ~y ~t0 ~t1 ~tol () in
     acc := Ode.merge_stats !acc stats;
     out := sample_of m ~t:t1 y :: !out
   done;

@@ -476,6 +476,35 @@ let periodic_gc_bounds_store () =
         Alcotest.(check bool) "gc runs counted" true (s.P.gc_runs > 0)
       | _ -> Alcotest.fail "expected a stats reply")
 
+(* Every all-hit submission lands in the warm-hit histogram exactly
+   once, however many handler threads observe it at the same time. *)
+let concurrent_warm_hits_counted () =
+  with_daemon (fun _conf t ->
+      let req = submit ~seed:11 "warm-race" in
+      ignore (batch_reply (Daemon.handle t req));
+      let threads = 8 and per_thread = 25 in
+      let all_hit = Atomic.make 0 in
+      let client () =
+        for _ = 1 to per_thread do
+          let b = batch_reply (Daemon.handle t req) in
+          if b.P.fresh = 0 && b.P.shared = 0 then Atomic.incr all_hit
+        done
+      in
+      List.init threads (fun _ -> Thread.create client ())
+      |> List.iter Thread.join;
+      let m = Daemon.metrics t in
+      Obs.Metrics.snapshot m ~sim_ns:0;
+      let count =
+        match Obs.Metrics.latest m with
+        | Some snap ->
+          List.assoc "daemon.warm_hit_ms.count" snap.Obs.Metrics.values
+        | None -> Alcotest.fail "no metrics snapshot"
+      in
+      Alcotest.(check int) "every submission hit" (threads * per_thread)
+        (Atomic.get all_hit);
+      Alcotest.(check int) "histogram counts each all-hit submission"
+        (Atomic.get all_hit) (int_of_float count))
+
 let () =
   Alcotest.run "daemon"
     [
@@ -505,6 +534,8 @@ let () =
             warm_resubmission;
           Alcotest.test_case "concurrent clients dedup" `Slow
             concurrent_clients_dedup;
+          Alcotest.test_case "concurrent warm hits counted" `Slow
+            concurrent_warm_hits_counted;
           Alcotest.test_case "admission bound" `Quick admission_bound;
           Alcotest.test_case "bad requests over the socket" `Quick
             bad_requests_over_socket;
